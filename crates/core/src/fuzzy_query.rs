@@ -11,15 +11,30 @@
 //!
 //! When several matches yield unordered-isomorphic answers, the probability
 //! of that *answer* is the probability of the **disjunction** of their match
-//! conditions, computed exactly on a reduced ordered BDD (one weighted
-//! model-counting walk, linear in diagram size — see [`pxml_event::Bdd`]);
-//! this is what makes the commutation theorem of slide 13 hold:
-//! `query(worlds(F)) = worlds(query(F))`.
+//! conditions; this is what makes the commutation theorem of slide 13 hold:
+//! `query(worlds(F)) = worlds(query(F))`. The disjunction is computed exactly
+//! by [`pxml_event::any_of_probability`], which splits the conditions into
+//! **event-independent components** before compiling any BDD:
+//!
+//! * matches that share no event, directly or through other matches, are
+//!   independent, because events are;
+//! * each component's disjunction is compiled into its own reduced ordered
+//!   BDD and counted in one weighted model-counting walk (see
+//!   [`pxml_event::Bdd`]);
+//! * the components combine as `1 − Π(1 − p)`.
+//!
+//! The split matters because event ids follow creation order, not document
+//! structure. A broad query over many independent subtrees, such as
+//! `person { phone }` over a directory built by an extraction history,
+//! mentions events of different subtrees interleaved in id order. One
+//! diagram over all of them in that order grows exponentially with the
+//! number of subtrees. Per component, each diagram only spans the events of
+//! one subtree.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use pxml_event::{Bdd, BddRef, Condition, EventTable, Literal};
+use pxml_event::{any_of_probability, Condition, EventTable, Literal};
 use pxml_query::{Matching, Pattern};
 use pxml_tree::{CanonicalForm, NodeId, Tree};
 
@@ -58,38 +73,30 @@ impl FuzzyQueryResult {
     }
 
     /// Groups unordered-isomorphic answers and computes, for each group, the
-    /// probability that *at least one* of its matches exists (the disjunction
-    /// of the match conditions, evaluated exactly).
+    /// probability that *at least one* of its matches exists: the exact
+    /// probability of the disjunction of the group's match conditions.
     ///
-    /// Groups are indexed by a hash map keyed on the answers' canonical form
-    /// (O(matches) instead of the former O(matches²) linear scan), each
-    /// group's disjunction BDD is built incrementally as its matches stream
-    /// by (no condition is cloned), and the final probabilities share one
-    /// model-counting cache across groups.
+    /// Groups are indexed by a hash map keyed on the answers' canonical form,
+    /// in order of first appearance. Each group's probability is one
+    /// [`any_of_probability`] call: the group's conditions are split into
+    /// event-independent components, each component's disjunction is
+    /// compiled into its own BDD, and the components combine as
+    /// `1 − Π(1 − p)` (see the module docs for why).
     pub fn merged_answers(&self, events: &EventTable) -> Vec<(Tree, f64)> {
-        let mut bdd = Bdd::new();
-        let mut groups: Vec<(Tree, BddRef)> = Vec::new();
+        let mut groups: Vec<(Tree, Vec<&Condition>)> = Vec::new();
         let mut index: HashMap<CanonicalForm, usize> = HashMap::with_capacity(self.matches.len());
         for m in &self.matches {
-            let form = CanonicalForm::of_tree(&m.answer);
-            let node = bdd.condition(&m.condition);
-            match index.entry(form) {
-                Entry::Occupied(slot) => {
-                    let group = &mut groups[*slot.get()];
-                    group.1 = bdd.or(group.1, node);
-                }
+            match index.entry(CanonicalForm::of_tree(&m.answer)) {
+                Entry::Occupied(slot) => groups[*slot.get()].1.push(&m.condition),
                 Entry::Vacant(slot) => {
                     slot.insert(groups.len());
-                    groups.push((m.answer.clone(), node));
+                    groups.push((m.answer.clone(), vec![&m.condition]));
                 }
             }
         }
-        let nodes: Vec<BddRef> = groups.iter().map(|(_, node)| *node).collect();
-        let probabilities = bdd.probabilities(&nodes, events);
         groups
             .into_iter()
-            .zip(probabilities)
-            .map(|((tree, _), probability)| (tree, probability))
+            .map(|(tree, conditions)| (tree, any_of_probability(conditions, events)))
             .collect()
     }
 
@@ -104,12 +111,12 @@ impl FuzzyQueryResult {
     }
 
     /// The probability that the query matches at all (the document is
-    /// *selected* by the query) — the disjunction of every match condition,
-    /// built incrementally on a BDD straight from the borrowed conditions.
+    /// *selected* by the query): the exact probability of the disjunction
+    /// of every match condition, by one [`any_of_probability`] call over all
+    /// matches, split into event-independent components like
+    /// [`FuzzyQueryResult::merged_answers`].
     pub fn selection_probability(&self, events: &EventTable) -> f64 {
-        let mut bdd = Bdd::new();
-        let any = bdd.any_of(self.matches.iter().map(|m| &m.condition));
-        bdd.probability(any, events)
+        any_of_probability(self.matches.iter().map(|m| &m.condition), events)
     }
 }
 

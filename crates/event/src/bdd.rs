@@ -17,7 +17,13 @@
 //! * [`Bdd::disjoint_cover`] reads a pairwise-disjoint conjunctive cover off
 //!   the root→⊤ path structure (any two distinct paths fix some variable to
 //!   opposite values), which is what lets the simplifier's group re-cover
-//!   scale past small event counts.
+//!   scale past small event counts;
+//! * [`any_of_probability`] splits a disjunction of conditions into
+//!   **event-independent components** (conditions linked by shared events,
+//!   found by union-find) and compiles one diagram per component, combining
+//!   them as `1 − Π(1 − p)`. The query merge uses it: one diagram over
+//!   independent subtrees whose events were created interleaved can be
+//!   exponentially larger than the sum of the per-component diagrams.
 //!
 //! The default variable order is the event-id order of the owning
 //! [`EventTable`]: conditions produced by the update pipeline mention events
@@ -426,17 +432,6 @@ impl Bdd {
         self.probability_cached(node, table, &mut cache)
     }
 
-    /// [`Bdd::probability`] over several roots sharing one per-node cache —
-    /// cheaper than independent calls when the functions share structure
-    /// (e.g. the per-answer disjunctions of one query result).
-    pub fn probabilities(&self, nodes: &[BddRef], table: &EventTable) -> Vec<f64> {
-        let mut cache: HashMap<BddRef, f64> = HashMap::new();
-        nodes
-            .iter()
-            .map(|&node| self.probability_cached(node, table, &mut cache))
-            .collect()
-    }
-
     fn probability_cached(
         &self,
         node: BddRef,
@@ -521,6 +516,81 @@ impl Bdd {
         path.pop();
         hi_ok
     }
+}
+
+/// Exact `P(c₁ ∨ … ∨ cₙ)` for conjunctive conditions over the independent
+/// events of `table`, compiled one event-independent component at a time.
+///
+/// Two conditions belong to the same component when a chain of conditions,
+/// each sharing an event with the next, links them. Events are independent,
+/// so distinct components are too, and the disjunction factors as
+/// `1 − Π(1 − P(component))`. Each component's disjunction is compiled with
+/// [`Bdd::any_of`] on its own, so the diagram never interleaves the events
+/// of unrelated components. One diagram over every condition in event-id
+/// order can be exponentially larger: for `x₁ ∧ y₁ ∨ … ∨ xₙ ∧ yₙ` with every
+/// `x` created before every `y`, it must remember which `xᵢ` held until the
+/// `y` levels, `2ⁿ` nodes.
+///
+/// Inconsistent conditions are dropped, an always-true condition makes the
+/// result 1, and the empty disjunction is 0. Components are combined in the
+/// order of their first condition, so the result is deterministic. When all
+/// conditions share events the cost is the single diagram plus a union-find
+/// linear in the number of literals.
+///
+/// # Panics
+/// Panics if a condition mentions an event `table` does not contain (the
+/// contract of [`Bdd::probability`]).
+pub fn any_of_probability<'a>(
+    conditions: impl IntoIterator<Item = &'a Condition>,
+    table: &EventTable,
+) -> f64 {
+    let mut kept: Vec<&Condition> = Vec::new();
+    for condition in conditions {
+        if condition.is_always_true() {
+            return 1.0;
+        }
+        if condition.is_consistent() {
+            kept.push(condition);
+        }
+    }
+    // Union-find over condition positions; a root is always the smallest
+    // position of its component, so walking the roots in order combines the
+    // components in the order of their first condition.
+    let mut parent: Vec<usize> = (0..kept.len()).collect();
+    let mut first_mention: HashMap<EventId, usize> = HashMap::new();
+    for (position, condition) in kept.iter().enumerate() {
+        for literal in condition.literals() {
+            match first_mention.entry(literal.event) {
+                Entry::Vacant(slot) => {
+                    slot.insert(position);
+                }
+                Entry::Occupied(slot) => {
+                    let (a, b) = (find(&mut parent, position), find(&mut parent, *slot.get()));
+                    parent[a.max(b)] = a.min(b);
+                }
+            }
+        }
+    }
+    let mut members_by_root: Vec<Vec<&Condition>> = vec![Vec::new(); kept.len()];
+    for (position, condition) in kept.iter().enumerate() {
+        members_by_root[find(&mut parent, position)].push(condition);
+    }
+    let mut bdd = Bdd::new();
+    let mut none_holds = 1.0;
+    for members in members_by_root.into_iter().filter(|m| !m.is_empty()) {
+        let node = bdd.any_of(members);
+        none_holds *= 1.0 - bdd.probability(node, table);
+    }
+    1.0 - none_holds
+}
+
+/// The root of `position` in a union-find forest, halving paths on the way.
+fn find(parent: &mut [usize], mut position: usize) -> usize {
+    while parent[position] != position {
+        parent[position] = parent[parent[position]];
+        position = parent[position];
+    }
+    position
 }
 
 #[cfg(test)]
@@ -642,25 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_probabilities_match_independent_calls() {
-        let (t, w1, w2, w3) = table();
-        let mut bdd = Bdd::new();
-        let a = bdd.condition(&Condition::from_literals([
-            Literal::pos(w1),
-            Literal::pos(w2),
-        ]));
-        let b = bdd.condition(&Condition::from_literals([
-            Literal::pos(w2),
-            Literal::neg(w3),
-        ]));
-        let c = bdd.or(a, b);
-        let batch = bdd.probabilities(&[a, b, c], &t);
-        for (node, expected) in [a, b, c].into_iter().zip(&batch) {
-            assert!((bdd.probability(node, &t) - expected).abs() < 1e-15);
-        }
-    }
-
-    #[test]
     fn disjoint_cover_partitions_the_function() {
         let (t, w1, w2, w3) = table();
         let mut bdd = Bdd::new();
@@ -751,6 +802,35 @@ mod tests {
         );
         let mass: f64 = ordered_cover.iter().map(|term| term.probability(&t)).sum();
         assert!((mass - ordered.probability(ordered_union, &t)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn interleaved_independent_pairs_split_into_components() {
+        // 40 independent conjunctions x_i ∧ y_i, every x created before every
+        // y. In id order one diagram must remember which x_i held until the
+        // y levels (2^40 nodes); split by component, each pair is two nodes.
+        let mut t = EventTable::new();
+        let x: Vec<EventId> = (0..40)
+            .map(|i| {
+                t.add_event(format!("x{i}"), 0.3 + 0.015 * i as f64)
+                    .unwrap()
+            })
+            .collect();
+        let y: Vec<EventId> = (0..40)
+            .map(|i| t.add_event(format!("y{i}"), 0.9 - 0.02 * i as f64).unwrap())
+            .collect();
+        let conditions: Vec<Condition> = x
+            .iter()
+            .zip(&y)
+            .map(|(&xi, &yi)| Condition::from_literals([Literal::pos(xi), Literal::pos(yi)]))
+            .collect();
+        let none_holds: f64 = x
+            .iter()
+            .zip(&y)
+            .map(|(&xi, &yi)| 1.0 - t.probability(xi) * t.probability(yi))
+            .product();
+        let p = any_of_probability(&conditions, &t);
+        assert!((p - (1.0 - none_holds)).abs() < 1e-12);
     }
 
     #[test]

@@ -8,10 +8,15 @@
 //!
 //! must agree to within 1e-9; tautology/contradiction decisions must agree
 //! with enumeration as well, and the BDD's disjoint covers must carry
-//! exactly the function's probability mass.
+//! exactly the function's probability mass. On random sets of conjunctive
+//! conditions (some drawn from disjoint event blocks), the
+//! component-splitting `any_of_probability` must agree with one monolithic
+//! diagram and with enumeration to within 1e-12.
 
 use proptest::prelude::*;
-use pxml_event::{enumerate_valuations, Bdd, Condition, EventId, EventTable, Formula, Literal};
+use pxml_event::{
+    any_of_probability, enumerate_valuations, Bdd, Condition, EventId, EventTable, Formula, Literal,
+};
 
 const EVENTS: usize = 12;
 
@@ -167,4 +172,87 @@ fn any_of_conditions_matches_both_probability_paths() {
     assert!((by_bdd - formula.probability(&table)).abs() < 1e-12);
     assert!((by_bdd - formula.probability_shannon(&table)).abs() < 1e-12);
     assert!((by_bdd - by_enumeration(&formula, &table)).abs() < 1e-12);
+}
+
+/// Blueprint of one conjunctive condition: its event block and its
+/// `(event offset in the block, sign)` literals.
+type ConditionShape = (usize, Vec<(usize, bool)>);
+
+/// Blueprint of a set of conjunctive conditions: the 12 events are cut into
+/// `blocks` disjoint blocks and every condition draws all its literals from
+/// one block, so `blocks > 1` yields sets with several event-independent
+/// components (and `blocks == 1` arbitrary overlapping sets). A literal list
+/// may name one event with both signs, giving an inconsistent condition.
+fn condition_set_strategy() -> impl Strategy<Value = (usize, Vec<ConditionShape>)> {
+    (
+        1usize..=4,
+        proptest::collection::vec(
+            (
+                0usize..4,
+                proptest::collection::vec((0usize..EVENTS, any::<bool>()), 1..5),
+            ),
+            0..9,
+        ),
+    )
+}
+
+fn build_conditions(events: &[EventId], blocks: usize, shape: &[ConditionShape]) -> Vec<Condition> {
+    let size = EVENTS / blocks;
+    shape
+        .iter()
+        .map(|(block, literals)| {
+            Condition::from_literals(literals.iter().map(|&(offset, positive)| {
+                let event = events[(block % blocks) * size + offset % size];
+                if positive {
+                    Literal::pos(event)
+                } else {
+                    Literal::neg(event)
+                }
+            }))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn component_split_agrees_with_one_diagram_and_enumeration(
+        (blocks, shape) in condition_set_strategy()
+    ) {
+        let (table, events) = table();
+        let conditions = build_conditions(&events, blocks, &shape);
+        let split = any_of_probability(&conditions, &table);
+        let mut bdd = Bdd::new();
+        let union = bdd.any_of(conditions.iter());
+        let monolithic = bdd.probability(union, &table);
+        let enumerated = by_enumeration(&Formula::any_of(&conditions), &table);
+        prop_assert!(
+            (split - monolithic).abs() < 1e-12,
+            "components {split} vs one diagram {monolithic} on {conditions:?}"
+        );
+        prop_assert!(
+            (split - enumerated).abs() < 1e-12,
+            "components {split} vs enumeration {enumerated} on {conditions:?}"
+        );
+    }
+}
+
+#[test]
+fn component_split_edge_cases() {
+    let (table, events) = table();
+    let (w0, w1) = (events[0], events[1]);
+    assert_eq!(any_of_probability(&[], &table), 0.0);
+    let inconsistent = [
+        Condition::from_literals([Literal::pos(w0), Literal::neg(w0)]),
+        Condition::from_literals([Literal::pos(w1), Literal::neg(w1), Literal::pos(w0)]),
+    ];
+    assert_eq!(any_of_probability(&inconsistent, &table), 0.0);
+    let with_always = [
+        Condition::from_literal(Literal::pos(w0)),
+        inconsistent[0].clone(),
+        Condition::always(),
+        Condition::from_literal(Literal::neg(w1)),
+    ];
+    assert_eq!(any_of_probability(&with_always, &table), 1.0);
 }
