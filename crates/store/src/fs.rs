@@ -17,13 +17,13 @@
 //! [payload_len: u32 LE][update_count: u32 LE][payload: UTF-8 <pxml:batch> XML]
 //! ```
 //!
-//! [`FsBackend::append_batch`] appends one record to the highest-sequence
-//! segment of the current epoch (rolling to a new sequence number once the
-//! active segment exceeds the roll threshold) and fsyncs it — commit cost is
-//! **O(batch)**, independent of how many batches the journal already holds.
-//! The `update_count` header field lets the store rebuild its per-document
-//! journal meters (batches, updates, bytes) by walking headers only, so
-//! [`FsBackend::journal_length`] is O(1) after the one-time scan.
+//! An append writes one record to the highest-sequence segment of the
+//! current epoch (rolling to a new sequence number once the active segment
+//! exceeds the roll threshold) and fsyncs it — commit cost is **O(batch)**,
+//! independent of how many batches the journal already holds. The
+//! `update_count` header field lets the store rebuild its per-document
+//! journal meters (batches, updates, bytes) by walking headers only, so the
+//! journal meters are O(1) after the one-time scan.
 //!
 //! # Crash recovery
 //!
@@ -35,20 +35,24 @@
 //!   highest-sequence segment, discarded and truncated away — the batch never
 //!   reached its commit point. A short record *before* the tail is real
 //!   corruption and reported as an error;
-//! * a **compaction** ([`FsBackend::checkpoint`]) writes the new checkpoint
-//!   (tmp + rename, stamped with `epoch + 1`) and only then deletes the
-//!   folded segments. The rename is the single commit point: a crash in
-//!   between leaves old-epoch segments on disk, which recovery ignores (their
-//!   batches are already inside the checkpoint) and the next open sweeps;
-//! * a **legacy monolithic journal** (`<name>.journal`, the pre-segment
-//!   layout) is auto-migrated at [`FsBackend::open`]: its batches are
-//!   rewritten as records of segment `<name>.journal.0.0.seg` and the old
-//!   file is removed.
+//! * a **compaction** (`checkpoint`) writes the new checkpoint (tmp +
+//!   rename, stamped with `epoch + 1`) and only then deletes the folded
+//!   segments. The rename is the single commit point: a crash in between
+//!   leaves old-epoch segments on disk, which recovery ignores (their
+//!   batches are already inside the checkpoint) and the next open sweeps.
 //!
 //! [`FsBackend::open`] also sweeps stale debris: `.tmp` staging files of
 //! checkpoints/compactions that never reached their rename, and orphaned
-//! segment or legacy-journal files whose checkpoint is gone (the remains of a
-//! document removal killed halfway).
+//! segment files whose checkpoint is gone (the remains of a document removal
+//! killed halfway). The segment journal is the only journal layout the store
+//! reads.
+//!
+//! # Fault injection
+//!
+//! A [`FaultPlan`] installed through [`FsOptions::fault`] is consulted at
+//! the backend's four fault points: once per append before any byte is
+//! written, in `load_document`, at the start of `checkpoint`, and in every
+//! fsync round (see [`crate::fault`] for what each fault does).
 //!
 //! # Concurrency
 //!
@@ -72,10 +76,10 @@ use pxml_core::{FuzzyTree, UpdateTransaction};
 
 use crate::backend::StorageBackend;
 use crate::error::StoreError;
-use crate::fault::{FaultOp, FaultPlan};
+use crate::fault::{FaultKind, FaultOp, FaultPlan};
 use crate::format::{extract_epoch, parse_fuzzy_document, serialize_fuzzy_document_with_epoch};
 use crate::group::{CommitPolicy, CommitTicket, DurabilityStats, GroupCommitter, PendingAppend};
-use crate::journal::{parse_batch, parse_batched_journal, serialize_batch};
+use crate::journal::{parse_batch, serialize_batch};
 
 /// Bytes of each record header: `payload_len: u32 LE` + `update_count: u32 LE`.
 const RECORD_HEADER_BYTES: u64 = 8;
@@ -173,12 +177,13 @@ pub struct FsOptions {
     /// immediately (see [`GroupCommitter`]'s module docs). `false` (the
     /// default) is what production sessions want.
     pub group_fill_idle_windows: bool,
-    /// A fault plan the backend's **fsync funnel** consults before every
-    /// real device flush — the injection point a
-    /// [`FaultBackend`](crate::FaultBackend) wrapper cannot see from the
-    /// trait surface. Share the same plan with the wrapper so its op
-    /// counters cover the whole stack. `None` (the default) disables fsync
-    /// injection entirely.
+    /// The fault plan the backend consults at each of its fault points:
+    /// once per append (before any byte is written; a torn write shears the
+    /// active segment after the append lands), in `load_document`, at the
+    /// start of `checkpoint`, and before every fsync round. Recovery
+    /// (`recover_document`, `reopen_document`) never faults, so a
+    /// quarantined document can always be reopened. `None` (the default)
+    /// disables injection entirely.
     pub fault: Option<Arc<FaultPlan>>,
 }
 
@@ -203,8 +208,8 @@ struct Device {
     gate: Mutex<()>,
 }
 
-/// The lock-free durability counters behind [`FsBackend::durability_stats`],
-/// shared by all clones.
+/// The lock-free durability counters behind
+/// [`StorageBackend::durability_stats`], shared by all clones.
 #[derive(Debug, Default)]
 struct SyncCounters {
     fsyncs: AtomicUsize,
@@ -223,15 +228,14 @@ pub struct FsBackend {
     roll_bytes: u64,
     /// One meta + write mutex per document name, shared across clones; never
     /// held for two documents at once. A name's entry deliberately survives
-    /// document removal (see [`FsBackend::remove_document`]).
+    /// document removal (see `remove_document`).
     metas: Arc<Mutex<HashMap<String, Arc<Mutex<DocMeta>>>>>,
     /// The group committer under [`CommitPolicy::Grouped`]; `None` makes
     /// every grouped entry point degrade to the synchronous path.
     group: Option<Arc<GroupCommitter>>,
     device: Arc<Device>,
     counters: Arc<SyncCounters>,
-    /// The fault plan of [`FsOptions::fault`], consulted by the fsync
-    /// funnel; `None` in production.
+    /// The fault plan of [`FsOptions::fault`]; `None` in production.
     fault: Option<Arc<FaultPlan>>,
 }
 
@@ -266,31 +270,16 @@ fn parse_segment_name(file_name: &str) -> Option<SegmentName> {
 }
 
 impl FsBackend {
-    /// Opens (creating it if needed) a store rooted at `root`: sweeps stale
-    /// debris (`.tmp` staging files, orphaned segments and legacy journals of
-    /// removed documents) and migrates any legacy monolithic `<name>.journal`
-    /// files to the segment format.
+    /// Opens (creating it if needed) a store rooted at `root` and sweeps
+    /// stale debris (`.tmp` staging files, orphaned segments of removed
+    /// documents).
     pub fn open(root: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::with_options(root, FsOptions::default())
     }
 
-    /// [`FsBackend::open`] with an explicit segment roll threshold (exposed
-    /// for tests that need multi-segment journals without megabytes of data).
-    pub fn with_segment_roll_bytes(
-        root: impl AsRef<Path>,
-        roll_bytes: u64,
-    ) -> Result<Self, StoreError> {
-        Self::with_options(
-            root,
-            FsOptions {
-                segment_roll_bytes: roll_bytes,
-                ..FsOptions::default()
-            },
-        )
-    }
-
     /// [`FsBackend::open`] with full [`FsOptions`] — notably the
-    /// [`CommitPolicy`] selecting per-append fsyncs or group commit.
+    /// [`CommitPolicy`] selecting per-append fsyncs or group commit, and the
+    /// segment roll threshold.
     pub fn with_options(root: impl AsRef<Path>, options: FsOptions) -> Result<Self, StoreError> {
         let root = root.as_ref().to_path_buf();
         fs::create_dir_all(&root)?;
@@ -320,28 +309,16 @@ impl FsBackend {
             counters: Arc::new(SyncCounters::default()),
             fault: options.fault,
         };
-        backend.sweep_and_migrate()?;
+        backend.sweep()?;
         Ok(backend)
     }
 
-    /// A clone with the group committer detached: it shares every meter,
-    /// counter and the device gate, but its appends take the synchronous
-    /// path. Window flushes and ticket waits run through such a handle so
-    /// they can never re-enter the committer they serve.
-    fn degrouped(&self) -> FsBackend {
-        FsBackend {
-            group: None,
-            ..self.clone()
-        }
-    }
-
     /// The open-time sweep: discard commit debris that never reached a
-    /// rename commit point, drop files orphaned by a half-done removal, and
-    /// migrate legacy monolithic journals.
-    fn sweep_and_migrate(&self) -> Result<(), StoreError> {
+    /// rename commit point and drop segments orphaned by a half-done
+    /// removal.
+    fn sweep(&self) -> Result<(), StoreError> {
         let mut checkpoints: Vec<String> = Vec::new();
         let mut segments: Vec<(PathBuf, SegmentName)> = Vec::new();
-        let mut legacy: Vec<(PathBuf, String)> = Vec::new();
         for entry in fs::read_dir(&self.root)? {
             let path = entry?.path();
             let (Some(file_name), Some(ext)) = (
@@ -351,19 +328,14 @@ impl FsBackend {
                 continue;
             };
             match ext.as_str() {
-                // A `.tmp` is a staged checkpoint, compaction output or
-                // migration that was killed before its rename: the state it
-                // carried never reached a commit point, so it must not
-                // survive into recovery.
+                // A `.tmp` is a staged checkpoint or compaction output that
+                // was killed before its rename: the state it carried never
+                // reached a commit point, so it must not survive into
+                // recovery.
                 "tmp" => fs::remove_file(&path)?,
                 "seg" => {
                     if let Some(parsed) = parse_segment_name(&file_name) {
                         segments.push((path, parsed));
-                    }
-                }
-                "journal" => {
-                    if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                        legacy.push((path.clone(), stem.to_string()));
                     }
                 }
                 "pxml" => {
@@ -377,55 +349,11 @@ impl FsBackend {
         // Orphaned segments: a document removal deletes the checkpoint first,
         // so segments without a checkpoint belong to a removal that died
         // before finishing.
-        let mut has_segments: std::collections::HashSet<String> = std::collections::HashSet::new();
         for (path, parsed) in &segments {
-            if checkpoints.iter().any(|c| c == &parsed.document) {
-                has_segments.insert(parsed.document.clone());
-            } else {
+            if !checkpoints.iter().any(|c| c == &parsed.document) {
                 fs::remove_file(path)?;
             }
         }
-        for (path, name) in legacy {
-            if !checkpoints.iter().any(|c| c == &name) {
-                // Same orphan rule as segments.
-                fs::remove_file(&path)?;
-            } else if has_segments.contains(&name) {
-                // Segments can only coexist with a legacy journal when a
-                // previous migration was killed after its rename commit
-                // point: the segment already holds the journal, so the
-                // leftover source file is safe to drop.
-                fs::remove_file(&path)?;
-            } else {
-                self.migrate_legacy_journal(&path, &name)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Rewrites a legacy monolithic journal as segment
-    /// `<name>.journal.0.0.seg` (legacy checkpoints are always epoch 0). The
-    /// segment is staged to a `.tmp` and renamed — the commit point — before
-    /// the legacy file is removed, so a crash at any step leaves a state the
-    /// next open handles.
-    fn migrate_legacy_journal(&self, legacy_path: &Path, name: &str) -> Result<(), StoreError> {
-        let batches = parse_batched_journal(&fs::read_to_string(legacy_path)?)?;
-        if !batches.is_empty() {
-            let mut encoded = Vec::new();
-            for batch in &batches {
-                encoded.extend_from_slice(&encode_record(batch));
-            }
-            let staged = self.root.join(format!(".{name}.journal.0.0.seg.tmp"));
-            let mut file = fs::File::create(&staged)?;
-            file.write_all(&encoded)?;
-            file.sync_all()?;
-            drop(file);
-            fs::rename(&staged, self.segment_path(name, 0, 0))?;
-            // The rename is the migration's commit point: make it durable
-            // before the source is unlinked, or power loss could reorder the
-            // two and drop the journal entirely.
-            self.sync_dir()?;
-        }
-        fs::remove_file(legacy_path)?;
         Ok(())
     }
 
@@ -448,11 +376,6 @@ impl FsBackend {
             .entry(name.to_string())
             .or_insert_with(|| Arc::new(Mutex::with_class(LockClass::Journal, DocMeta::default())))
             .clone()
-    }
-
-    /// The directory backing this store.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     fn document_path(&self, name: &str) -> PathBuf {
@@ -543,38 +466,9 @@ impl FsBackend {
         Ok(())
     }
 
-    /// Lists the names of the stored documents (sorted).
-    pub fn list_documents(&self) -> Result<Vec<String>, StoreError> {
-        let mut names = Vec::new();
-        for entry in fs::read_dir(&self.root)? {
-            let path = entry?.path();
-            if path.extension().and_then(|ext| ext.to_str()) == Some("pxml") {
-                if let Some(stem) = path.file_stem().and_then(|stem| stem.to_str()) {
-                    names.push(stem.to_string());
-                }
-            }
-        }
-        names.sort();
-        Ok(names)
-    }
-
-    /// Returns `true` if a document with this name exists.
-    pub fn contains(&self, name: &str) -> bool {
-        self.document_path(name).exists()
-    }
-
-    /// Saves a document checkpoint atomically (write to a temporary file in
-    /// the same directory, then rename over the target), preserving the
-    /// document's journal epoch and leaving the journal untouched.
-    pub fn save_document(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
-        let meta = self.meta(name);
-        let mut meta = meta.lock();
-        self.ensure_loaded(name, &mut meta)?;
-        self.write_checkpoint(name, fuzzy, meta.epoch)
-    }
-
-    /// The atomic checkpoint write itself, assuming the caller holds the
-    /// document's mutex.
+    /// The atomic checkpoint write itself (write to a temporary file in the
+    /// same directory, then rename over the target), assuming the caller
+    /// holds the document's mutex.
     fn write_checkpoint(
         &self,
         name: &str,
@@ -596,8 +490,10 @@ impl FsBackend {
         Ok(())
     }
 
-    /// Loads the last checkpoint of a document (ignoring any journal).
-    pub fn load_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
+    /// Reads and parses the last checkpoint of a document. Fault-free: the
+    /// `Load` fault point sits in `load_document` only, so recovery can
+    /// always reach the on-disk truth.
+    fn read_checkpoint(&self, name: &str) -> Result<FuzzyTree, StoreError> {
         let path = self.document_path(name);
         if !path.exists() {
             return Err(StoreError::MissingDocument(name.to_string()));
@@ -606,86 +502,48 @@ impl FsBackend {
         parse_fuzzy_document(&text)
     }
 
-    /// Deletes a document, its checkpoint and its journal segments.
-    ///
-    /// The name's meta mutex deliberately stays in the registry: dropping it
-    /// would let a thread still holding the old `Arc` interleave its append
-    /// with a writer of a same-named *re-created* document under a fresh
-    /// mutex, silently corrupting a segment. One retained mutex per name ever
-    /// removed is a bounded price for that guarantee.
-    pub fn remove_document(&self, name: &str) -> Result<(), StoreError> {
-        // Settle any in-flight group-commit window first (before the meta
-        // lock — the flush needs it): a window flushing after the removal
-        // would resurrect segment files for the deleted document.
-        self.group_barrier();
-        let meta = self.meta(name);
-        let mut meta = meta.lock();
-        let path = self.document_path(name);
-        if !path.exists() {
-            return Err(StoreError::MissingDocument(name.to_string()));
+    /// Consults the fault plan, if any, at a fault point that can only fail.
+    fn fault_point(&self, op: FaultOp) -> Result<(), StoreError> {
+        match &self.fault {
+            Some(plan) => plan.decide_error(op),
+            None => Ok(()),
         }
-        // Checkpoint first: if the removal dies halfway, the leftover
-        // segments are recognizably orphaned (no checkpoint) and swept at the
-        // next open. The directory flush pins that ordering against power
-        // loss too.
-        fs::remove_file(path)?;
-        self.sync_dir()?;
-        for (segment, _) in self.segments_of(name)? {
-            fs::remove_file(segment)?;
-        }
-        meta.reset_journal(0);
-        meta.loaded = false;
-        Ok(())
     }
 
-    /// The updates recorded in a document's journal, flattened to application
-    /// order (empty when there is no journal).
-    pub fn read_journal(&self, name: &str) -> Result<Vec<UpdateTransaction>, StoreError> {
-        Ok(self.read_batches(name)?.into_iter().flatten().collect())
+    /// The append fault point, consulted once per append before any byte is
+    /// written: an error fails the append untouched; a torn write comes back
+    /// as `Ok(Some(error))` — the append must land, then
+    /// [`FsBackend::tear_tail`] shears it and surfaces `error`.
+    fn append_fault(&self) -> Result<Option<StoreError>, StoreError> {
+        match self
+            .fault
+            .as_ref()
+            .and_then(|plan| plan.decide(FaultOp::Append))
+        {
+            Some((FaultKind::TornWrite, error)) => Ok(Some(error)),
+            Some((_, error)) => Err(error),
+            None => Ok(None),
+        }
     }
 
-    /// The committed transaction batches recorded in a document's journal
-    /// (empty when there is no journal).
-    pub fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError> {
+    /// The torn-write shear: chops `TEAR_BYTES` off the end of the
+    /// document's active segment — the file the append just wrote, known
+    /// from the meters — leaving a record whose payload is shorter than its
+    /// header promises, the on-disk shape of a crash mid-append. Returns
+    /// `error`. The meters are deliberately left stale, as after a real torn
+    /// write: only a rescan (`reopen_document`) truncates the torn tail away.
+    fn tear_tail(&self, name: &str, error: StoreError) -> Result<(), StoreError> {
+        const TEAR_BYTES: u64 = 3;
         let meta = self.meta(name);
-        let mut meta = meta.lock();
-        self.ensure_loaded(name, &mut meta)?;
-        let mut batches = Vec::with_capacity(meta.batches);
-        for path in self.current_segment_paths(name, &meta) {
-            let bytes = fs::read(&path)?;
-            let mut offset = 0usize;
-            while let Some(record) = sound_record(&bytes, offset) {
-                batches.push(parse_batch(record.payload)?);
-                offset = record.next;
-            }
+        let meta = meta.lock();
+        if let Some(seq) = meta.active_seq {
+            let file = fs::OpenOptions::new()
+                .write(true)
+                .open(self.segment_path(name, meta.epoch, seq))?;
+            file.set_len(meta.active_len.saturating_sub(TEAR_BYTES))?;
+            file.sync_all()?;
         }
-        Ok(batches)
-    }
-
-    /// Durably appends one committed transaction batch to a document's
-    /// journal: one length-prefixed record written to the active segment and
-    /// covered by its own fsync round — **O(batch)**, never a rewrite of
-    /// earlier records. The write lands in a new segment file when the
-    /// active one has grown past the roll threshold.
-    pub fn append_batch(&self, name: &str, batch: &[UpdateTransaction]) -> Result<(), StoreError> {
-        let meta = self.meta(name);
-        let mut meta = meta.lock();
-        self.ensure_loaded(name, &mut meta)?;
-        if !self.contains(name) {
-            return Err(StoreError::MissingDocument(name.to_string()));
-        }
-        let saved = meta.snapshot();
-        let appended = self.write_record(name, &mut meta, batch)?;
-        match self.fsync_round(std::slice::from_ref(&appended.file), appended.fresh) {
-            Ok(()) => Ok(()),
-            Err(error) => {
-                // The record is in the page cache but never reached the
-                // device: roll it back so replay surfaces exactly the
-                // acknowledged batches and nothing more.
-                self.rollback_unsynced(name, &mut meta, &saved);
-                Err(error)
-            }
-        }
+        Err(error)
     }
 
     /// Best-effort undo of the records written for `name` since `saved` but
@@ -735,8 +593,8 @@ impl FsBackend {
     ///
     /// The meters advance before the fsync: the bytes are in the file once
     /// `write_all` returns, so the meters stay consistent with what
-    /// [`FsBackend::read_batches`] sees even if the later fsync fails (at
-    /// reopen they are rebuilt from disk either way).
+    /// `read_batches` sees even if the later fsync fails (at reopen they are
+    /// rebuilt from disk either way).
     fn write_record(
         &self,
         name: &str,
@@ -780,12 +638,10 @@ impl FsBackend {
     /// the round is the unit the device serializes on, and the quantity
     /// group commit divides.
     fn fsync_round(&self, files: &[fs::File], fresh_segment: bool) -> Result<(), StoreError> {
-        if let Some(plan) = &self.fault {
-            // An injected fsync fault preempts the round entirely: the data
-            // was written but never reached the device — exactly the state a
-            // real fsync failure leaves (callers roll the records back).
-            plan.decide_error(FaultOp::Fsync)?;
-        }
+        // An injected fsync fault preempts the round entirely: the data was
+        // written but never reached the device — exactly the state a real
+        // fsync failure leaves (callers roll the records back).
+        self.fault_point(FaultOp::Fsync)?;
         if self.device.latency > Duration::ZERO {
             let _gate = self.device.gate.lock();
             std::thread::sleep(self.device.latency);
@@ -798,36 +654,6 @@ impl FsBackend {
         }
         self.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// [`FsBackend::append_batch`] through the group-commit window when the
-    /// backend was opened with [`CommitPolicy::Grouped`]: the batch is
-    /// enqueued and the call blocks until its window's shared fsync round.
-    /// Under [`CommitPolicy::Sync`] it degrades to the synchronous append.
-    /// Either way the batch is durable when the call returns `Ok`.
-    pub fn append_batch_grouped(
-        &self,
-        name: &str,
-        batch: &[UpdateTransaction],
-    ) -> Result<(), StoreError> {
-        self.append_batch_enqueue(name, batch).wait()
-    }
-
-    /// The asynchronous half of group commit: enqueues the batch into the
-    /// open window and returns a [`CommitTicket`] that resolves at the
-    /// window's fsync. Under [`CommitPolicy::Sync`] the append happens
-    /// synchronously and the ticket comes back already resolved.
-    pub fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
-        let Some(group) = &self.group else {
-            return CommitTicket::resolved(self.append_batch(name, batch));
-        };
-        // Fail a missing document eagerly, before it can poison a window.
-        // (A removal racing the window is still caught by the flush itself.)
-        if !self.contains(name) {
-            return CommitTicket::resolved(Err(StoreError::MissingDocument(name.to_string())));
-        }
-        let slot = group.enqueue(name, batch);
-        CommitTicket::window(slot, group.clone(), self.degrouped())
     }
 
     /// Flushes one drained group-commit window: writes every member's
@@ -845,6 +671,9 @@ impl FsBackend {
     /// so the committer poisons itself — no slot is ever acknowledged past
     /// a failed round, and the fsync is never retried (see the
     /// [`crate::group`] module docs).
+    ///
+    /// The flush never touches the group committer itself, so the committer
+    /// can drive it through any clone of the backend.
     pub(crate) fn flush_window(&self, window: Vec<PendingAppend>) -> Result<(), String> {
         if window.is_empty() {
             return Ok(());
@@ -950,20 +779,118 @@ impl FsBackend {
             }
         }
     }
+}
 
-    /// Waits out any in-flight group-commit window and flushes everything
-    /// enqueued. Runs **before** this backend takes a document meta lock:
-    /// the flush itself takes those locks, so a barrier under one would
-    /// self-deadlock.
-    fn group_barrier(&self) {
-        if let Some(group) = &self.group {
-            group.barrier(&self.degrouped());
+impl StorageBackend for FsBackend {
+    fn list_documents(&self) -> Result<Vec<String>, StoreError> {
+        let mut names = Vec::new();
+        for entry in fs::read_dir(&self.root)? {
+            let path = entry?.path();
+            if path.extension().and_then(|ext| ext.to_str()) == Some("pxml") {
+                if let Some(stem) = path.file_stem().and_then(|stem| stem.to_str()) {
+                    names.push(stem.to_string());
+                }
+            }
+        }
+        names.sort();
+        Ok(names)
+    }
+
+    fn contains(&self, name: &str) -> bool {
+        self.document_path(name).exists()
+    }
+
+    /// Saves a document checkpoint atomically, preserving the document's
+    /// journal epoch and leaving the journal untouched.
+    fn save_document(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
+        let meta = self.meta(name);
+        let mut meta = meta.lock();
+        self.ensure_loaded(name, &mut meta)?;
+        self.write_checkpoint(name, fuzzy, meta.epoch)
+    }
+
+    /// Loads the last checkpoint — the `Load` fault point.
+    fn load_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
+        self.fault_point(FaultOp::Load)?;
+        self.read_checkpoint(name)
+    }
+
+    /// Durably appends one committed transaction batch to a document's
+    /// journal: one length-prefixed record written to the active segment and
+    /// covered by its own fsync round — **O(batch)**, never a rewrite of
+    /// earlier records. The write lands in a new segment file when the
+    /// active one has grown past the roll threshold.
+    fn append_batch(&self, name: &str, batch: &[UpdateTransaction]) -> Result<(), StoreError> {
+        let torn = self.append_fault()?;
+        {
+            let meta = self.meta(name);
+            let mut meta = meta.lock();
+            self.ensure_loaded(name, &mut meta)?;
+            if !self.contains(name) {
+                return Err(StoreError::MissingDocument(name.to_string()));
+            }
+            let saved = meta.snapshot();
+            let appended = self.write_record(name, &mut meta, batch)?;
+            if let Err(error) =
+                self.fsync_round(std::slice::from_ref(&appended.file), appended.fresh)
+            {
+                // The record is in the page cache but never reached the
+                // device: roll it back so replay surfaces exactly the
+                // acknowledged batches and nothing more.
+                self.rollback_unsynced(name, &mut meta, &saved);
+                return Err(error);
+            }
+        }
+        match torn {
+            Some(error) => self.tear_tail(name, error),
+            None => Ok(()),
+        }
+    }
+
+    /// The append through the group-commit window when the backend was
+    /// opened with [`CommitPolicy::Grouped`]: the batch is enqueued and the
+    /// call blocks until its window's shared fsync round. Under
+    /// [`CommitPolicy::Sync`] it degrades to the synchronous append. Either
+    /// way the batch is durable when the call returns `Ok`.
+    fn append_batch_grouped(
+        &self,
+        name: &str,
+        batch: &[UpdateTransaction],
+    ) -> Result<(), StoreError> {
+        self.append_batch_enqueue(name, batch).wait()
+    }
+
+    /// Enqueues the batch into the open window and returns a
+    /// [`CommitTicket`] that resolves at the window's fsync. Under
+    /// [`CommitPolicy::Sync`] the append happens synchronously and the
+    /// ticket comes back already resolved.
+    fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
+        let Some(group) = &self.group else {
+            return CommitTicket::resolved(self.append_batch(name, batch));
+        };
+        let torn = match self.append_fault() {
+            Ok(torn) => torn,
+            Err(error) => return CommitTicket::resolved(Err(error)),
+        };
+        // Fail a missing document eagerly, before it can poison a window.
+        // (A removal racing the window is still caught by the flush itself.)
+        if !self.contains(name) {
+            return CommitTicket::resolved(Err(StoreError::MissingDocument(name.to_string())));
+        }
+        let ticket = CommitTicket::window(group.enqueue(name, batch), group.clone(), self.clone());
+        match torn {
+            None => ticket,
+            // A torn write cannot resolve asynchronously: the shear must
+            // follow the window's write, before the caller sees the ticket.
+            Some(error) => {
+                CommitTicket::resolved(ticket.wait().and_then(|()| self.tear_tail(name, error)))
+            }
         }
     }
 
     /// Fsync/window counters since this backend (or the clone family it
     /// belongs to) was opened. Lock-free snapshot.
-    pub fn durability_stats(&self) -> DurabilityStats {
+    fn durability_stats(&self) -> DurabilityStats {
         DurabilityStats {
             fsyncs: self.counters.fsyncs.load(Ordering::Relaxed),
             grouped_commits: self.counters.grouped_commits.load(Ordering::Relaxed),
@@ -971,65 +898,61 @@ impl FsBackend {
         }
     }
 
-    /// Number of journaled updates awaiting a checkpoint — O(1) from the
-    /// segment meters, no re-parsing.
-    pub fn journal_length(&self, name: &str) -> Result<usize, StoreError> {
+    /// Waits out any in-flight group-commit window and flushes everything
+    /// enqueued. Runs **before** this backend takes a document meta lock:
+    /// the flush itself takes those locks, so a barrier under one would
+    /// self-deadlock.
+    fn group_barrier(&self) {
+        if let Some(group) = &self.group {
+            group.barrier(self);
+        }
+    }
+
+    fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError> {
+        let meta = self.meta(name);
+        let mut meta = meta.lock();
+        self.ensure_loaded(name, &mut meta)?;
+        let mut batches = Vec::with_capacity(meta.batches);
+        for path in self.current_segment_paths(name, &meta) {
+            let bytes = fs::read(&path)?;
+            let mut offset = 0usize;
+            while let Some(record) = sound_record(&bytes, offset) {
+                batches.push(parse_batch(record.payload)?);
+                offset = record.next;
+            }
+        }
+        Ok(batches)
+    }
+
+    fn journal_length(&self, name: &str) -> Result<usize, StoreError> {
         let meta = self.meta(name);
         let mut meta = meta.lock();
         self.ensure_loaded(name, &mut meta)?;
         Ok(meta.updates)
     }
 
-    /// Number of journaled batches awaiting a checkpoint (O(1)).
-    pub fn journal_batches(&self, name: &str) -> Result<usize, StoreError> {
+    fn journal_batches(&self, name: &str) -> Result<usize, StoreError> {
         let meta = self.meta(name);
         let mut meta = meta.lock();
         self.ensure_loaded(name, &mut meta)?;
         Ok(meta.batches)
     }
 
-    /// Total record bytes in the journal's segments (O(1)).
-    pub fn journal_size_bytes(&self, name: &str) -> Result<u64, StoreError> {
+    fn journal_size_bytes(&self, name: &str) -> Result<u64, StoreError> {
         let meta = self.meta(name);
         let mut meta = meta.lock();
         self.ensure_loaded(name, &mut meta)?;
         Ok(meta.bytes)
     }
 
-    /// Recovery: the last checkpoint with the journal replayed on top. This
-    /// is what the warehouse loads at start-up after a crash.
-    pub fn recover_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        let mut fuzzy = self.load_document(name)?;
-        for update in self.read_journal(name)? {
-            update.apply_to_fuzzy(&mut fuzzy)?;
-        }
-        Ok(fuzzy)
-    }
-
-    /// In-place recovery after a failed commit: clears a poisoned group
-    /// committer (safe — the failing flush already rolled its unsynced
-    /// records back), drops the document's cached journal meters so the next
-    /// touch rescans the on-disk truth (truncating any torn tail), and
-    /// returns the recovered tree. `Warehouse::reopen_document` routes
-    /// through this to lift a document out of quarantine.
-    pub fn reopen_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        if let Some(group) = &self.group {
-            group.clear_poison();
-        }
-        {
-            let meta = self.meta(name);
-            let mut meta = meta.lock();
-            meta.loaded = false;
-        }
-        FsBackend::recover_document(self, name)
-    }
-
-    /// Checkpoints a document: writes `fuzzy` as the new checkpoint (stamped
-    /// with the next journal epoch) and deletes the folded segments. The
-    /// checkpoint rename is the single commit point — a crash before it keeps
-    /// the old checkpoint + journal, a crash after it leaves stale-epoch
-    /// segments that recovery ignores and the next open/scan sweeps.
-    pub fn checkpoint(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
+    /// Writes `fuzzy` as the new checkpoint (stamped with the next journal
+    /// epoch) and deletes the folded segments. The checkpoint rename is the
+    /// single commit point — a crash before it keeps the old checkpoint +
+    /// journal, a crash after it leaves stale-epoch segments that recovery
+    /// ignores and the next open/scan sweeps. The `Checkpoint` fault point
+    /// fires before anything is touched.
+    fn checkpoint(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
+        self.fault_point(FaultOp::Checkpoint)?;
         // Settle any in-flight group-commit window first (before the meta
         // lock — the flush needs it): a pre-fold batch flushing *after* the
         // fold would land in the new epoch and be double-applied by replay.
@@ -1051,83 +974,65 @@ impl FsBackend {
         }
         Ok(())
     }
-}
 
-impl StorageBackend for FsBackend {
-    fn list_documents(&self) -> Result<Vec<String>, StoreError> {
-        FsBackend::list_documents(self)
-    }
-
-    fn contains(&self, name: &str) -> bool {
-        FsBackend::contains(self, name)
-    }
-
-    fn save_document(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
-        FsBackend::save_document(self, name, fuzzy)
-    }
-
-    fn load_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        FsBackend::load_document(self, name)
-    }
-
-    fn append_batch(&self, name: &str, batch: &[UpdateTransaction]) -> Result<(), StoreError> {
-        FsBackend::append_batch(self, name, batch)
-    }
-
-    fn append_batch_grouped(
-        &self,
-        name: &str,
-        batch: &[UpdateTransaction],
-    ) -> Result<(), StoreError> {
-        FsBackend::append_batch_grouped(self, name, batch)
-    }
-
-    fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
-        FsBackend::append_batch_enqueue(self, name, batch)
-    }
-
-    fn durability_stats(&self) -> DurabilityStats {
-        FsBackend::durability_stats(self)
-    }
-
-    fn group_barrier(&self) {
-        FsBackend::group_barrier(self);
-    }
-
-    fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError> {
-        FsBackend::read_batches(self, name)
-    }
-
-    fn journal_length(&self, name: &str) -> Result<usize, StoreError> {
-        FsBackend::journal_length(self, name)
-    }
-
-    fn journal_batches(&self, name: &str) -> Result<usize, StoreError> {
-        FsBackend::journal_batches(self, name)
-    }
-
-    fn journal_size_bytes(&self, name: &str) -> Result<u64, StoreError> {
-        FsBackend::journal_size_bytes(self, name)
-    }
-
-    fn checkpoint(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
-        FsBackend::checkpoint(self, name, fuzzy)
-    }
-
+    /// Deletes a document, its checkpoint and its journal segments.
+    ///
+    /// The name's meta mutex deliberately stays in the registry: dropping it
+    /// would let a thread still holding the old `Arc` interleave its append
+    /// with a writer of a same-named *re-created* document under a fresh
+    /// mutex, silently corrupting a segment. One retained mutex per name ever
+    /// removed is a bounded price for that guarantee.
     fn remove_document(&self, name: &str) -> Result<(), StoreError> {
-        FsBackend::remove_document(self, name)
+        // Settle any in-flight group-commit window first (before the meta
+        // lock — the flush needs it): a window flushing after the removal
+        // would resurrect segment files for the deleted document.
+        self.group_barrier();
+        let meta = self.meta(name);
+        let mut meta = meta.lock();
+        let path = self.document_path(name);
+        if !path.exists() {
+            return Err(StoreError::MissingDocument(name.to_string()));
+        }
+        // Checkpoint first: if the removal dies halfway, the leftover
+        // segments are recognizably orphaned (no checkpoint) and swept at the
+        // next open. The directory flush pins that ordering against power
+        // loss too.
+        fs::remove_file(path)?;
+        self.sync_dir()?;
+        for (segment, _) in self.segments_of(name)? {
+            fs::remove_file(segment)?;
+        }
+        meta.reset_journal(0);
+        meta.loaded = false;
+        Ok(())
     }
 
+    /// The trait's replay, over the fault-free checkpoint read: recovery
+    /// never consults the `Load` fault point, so a quarantined document can
+    /// always be reopened even under an aggressive plan.
     fn recover_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        FsBackend::recover_document(self, name)
+        let mut fuzzy = self.read_checkpoint(name)?;
+        for update in self.read_journal(name)? {
+            update.apply_to_fuzzy(&mut fuzzy)?;
+        }
+        Ok(fuzzy)
     }
 
+    /// In-place recovery after a failed commit: clears a poisoned group
+    /// committer (safe — the failing flush already rolled its unsynced
+    /// records back), drops the document's cached journal meters so the next
+    /// touch rescans the on-disk truth (truncating any torn tail), and
+    /// returns the recovered tree.
     fn reopen_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        FsBackend::reopen_document(self, name)
+        if let Some(group) = &self.group {
+            group.clear_poison();
+        }
+        self.meta(name).lock().loaded = false;
+        self.recover_document(name)
     }
 
     fn root_dir(&self) -> Option<&Path> {
-        Some(self.root())
+        Some(&self.root)
     }
 }
 
@@ -1445,7 +1350,11 @@ mod tests {
     fn appends_roll_into_new_segments_past_the_threshold() {
         let dir = scratch("roll");
         // A 1-byte threshold rolls after every record.
-        let store = FsBackend::with_segment_roll_bytes(&dir, 1).unwrap();
+        let tiny = FsOptions {
+            segment_roll_bytes: 1,
+            ..FsOptions::default()
+        };
+        let store = FsBackend::with_options(&dir, tiny.clone()).unwrap();
         store.save_document("people", &sample_fuzzy()).unwrap();
         for _ in 0..3 {
             store.append_batch("people", &[sample_update()]).unwrap();
@@ -1461,7 +1370,7 @@ mod tests {
         assert_eq!(store.journal_batches("people").unwrap(), 3);
         // A fresh handle rebuilds the same meters from the headers and
         // continues the sequence instead of overwriting.
-        let reopened = FsBackend::with_segment_roll_bytes(&dir, 1).unwrap();
+        let reopened = FsBackend::with_options(&dir, tiny).unwrap();
         assert_eq!(reopened.journal_batches("people").unwrap(), 3);
         reopened.append_batch("people", &[sample_update()]).unwrap();
         assert_eq!(segment_files(&dir).len(), 4);

@@ -1,7 +1,7 @@
 //! Group commit: cross-document fsync coalescing for the segment journal.
 //!
-//! [`FsBackend::append_batch`](crate::FsBackend::append_batch) pays one fsync
-//! round per batch per document. Under many concurrent writers those fsyncs —
+//! [`FsBackend`]'s synchronous append pays one fsync round per batch per
+//! document. Under many concurrent writers those fsyncs —
 //! not the CPU work — cap commit throughput: eight writers on eight documents
 //! issue eight device flushes where one would durably cover them all. The
 //! [`GroupCommitter`] closes that gap with the leader/follower protocol real
@@ -449,7 +449,7 @@ enum TicketInner {
     /// The append already completed synchronously with this outcome.
     Resolved(Result<(), StoreError>),
     /// The append sits in a group-commit window; resolving means driving
-    /// [`GroupCommitter::wait`] through the detached backend handle.
+    /// [`GroupCommitter::wait`] through a clone of the backend.
     Window {
         slot: Arc<CommitSlot>,
         committer: Arc<GroupCommitter>,

@@ -14,26 +14,28 @@
 //!   ordinary XML document whose uncertain nodes carry a `pxml:cond`
 //!   attribute, whose event table is stored in a `pxml:events` header, and
 //!   whose root carries the journal epoch its checkpoint folded;
-//! * [`journal`] — the textual form of probabilistic update transactions,
-//!   batch payloads, and the legacy monolithic journal layout;
+//! * [`journal`] — the textual form of probabilistic update transactions
+//!   and of the `<pxml:batch>` payload of one journal record;
 //! * [`fs`] — [`FsBackend`]: the durable file-system backend with an
 //!   **append-only segment journal** (O(batch) commits, torn-tail crash
-//!   recovery, auto-migration of legacy monolithic journals);
+//!   recovery) and the crate's one fault-injection funnel;
 //! * [`group`] — the cross-document **group-commit** layer: [`CommitPolicy`],
 //!   the leader/follower [`GroupCommitter`] coalescing many documents'
 //!   appends into one fsync window, and the [`CommitTicket`] handle of an
 //!   enqueued append;
 //! * [`mem`] — [`MemBackend`]: the in-process backend for tests and benches;
-//! * [`fault`] — [`FaultBackend`]: deterministic fault injection over any
-//!   backend, driven by a seeded [`FaultPlan`] (the chaos battery and the
-//!   E18 sweep run the whole stack through it).
+//! * [`fault`] — the seeded, deterministic [`FaultPlan`] that
+//!   [`FsBackend`] consults at its append, fsync, load and checkpoint fault
+//!   points when installed through [`FsOptions::fault`] (the chaos battery,
+//!   the server hardening battery and the E18 sweep run the whole stack
+//!   through it).
 //!
 //! [`DocumentStore`] is the historical name of the file-system store and
 //! remains an alias for [`FsBackend`].
 //!
 //! ```no_run
 //! use pxml_core::FuzzyTree;
-//! use pxml_store::DocumentStore;
+//! use pxml_store::{DocumentStore, StorageBackend};
 //!
 //! let store = DocumentStore::open("/tmp/pxml-warehouse").unwrap();
 //! store.save_document("people", &FuzzyTree::new("directory")).unwrap();
@@ -52,14 +54,11 @@ pub mod mem;
 
 pub use backend::StorageBackend;
 pub use error::StoreError;
-pub use fault::{is_injected, FaultBackend, FaultKind, FaultOp, FaultPlan};
+pub use fault::{is_injected, FaultKind, FaultOp, FaultPlan};
 pub use format::{parse_fuzzy_document, serialize_fuzzy_document};
 pub use fs::{FsBackend, FsOptions, DEFAULT_SEGMENT_ROLL_BYTES};
 pub use group::{CommitPolicy, CommitTicket, DurabilityStats, GroupCommitter};
-pub use journal::{
-    parse_batch, parse_batched_journal, parse_update, serialize_batch, serialize_batched_journal,
-    serialize_update,
-};
+pub use journal::{parse_batch, parse_update, serialize_batch, serialize_update};
 pub use mem::MemBackend;
 
 /// The historical name of the file-system store: an alias for [`FsBackend`].

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use pxml_core::{FuzzyTree, UpdateTransaction};
 use pxml_query::Pattern;
 use pxml_store::{
-    is_injected, CommitPolicy, FaultBackend, FaultOp, FaultPlan, FsBackend, FsOptions, MemBackend,
+    is_injected, CommitPolicy, FaultOp, FaultPlan, FsBackend, FsOptions, MemBackend,
     StorageBackend, StoreError,
 };
 use pxml_tree::parse_data_tree;
@@ -259,7 +259,16 @@ fn mem_backend_conforms_concurrently() {
 #[test]
 fn fs_backend_conforms_with_tiny_segments() {
     let dir = scratch("fs-tiny-segments");
-    conformance_suite(&FsBackend::with_segment_roll_bytes(&dir, 64).unwrap());
+    conformance_suite(
+        &FsBackend::with_options(
+            &dir,
+            FsOptions {
+                segment_roll_bytes: 64,
+                ..FsOptions::default()
+            },
+        )
+        .unwrap(),
+    );
     std::fs::remove_dir_all(dir).unwrap();
 }
 
@@ -298,57 +307,14 @@ fn fs_backend_conforms_concurrently_grouped() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
-/// With an empty plan the fault decorator must be a pure pass-through:
-/// the full suite runs unchanged, the plan counts every operation it saw,
-/// and no fault is ever injected.
+/// An `FsBackend` with an empty plan installed: the full suite runs
+/// unchanged, the plan counts every operation it saw, and no fault is ever
+/// injected.
 #[test]
-fn fault_backend_passthrough_conforms_over_fs() {
-    let dir = scratch("fault-passthrough-fs");
+fn fs_backend_conforms_with_an_empty_fault_plan() {
+    let dir = scratch("empty-plan-fs");
     let plan = Arc::new(FaultPlan::new());
-    let backend = FaultBackend::new(Arc::new(FsBackend::open(&dir).unwrap()), plan.clone());
-    conformance_suite(&backend);
-    assert_eq!(plan.injected_faults(), 0);
-    assert!(plan.ops(FaultOp::Append) > 0, "appends must be counted");
-    assert!(plan.ops(FaultOp::Load) > 0, "loads must be counted");
-    std::fs::remove_dir_all(dir).unwrap();
-}
-
-#[test]
-fn fault_backend_passthrough_conforms_over_mem() {
-    let plan = Arc::new(FaultPlan::new());
-    let backend = FaultBackend::new(Arc::new(MemBackend::new()), plan.clone());
-    conformance_suite(&backend);
-    assert_eq!(plan.injected_faults(), 0);
-}
-
-#[test]
-fn fault_backend_passthrough_conforms_concurrently_over_fs() {
-    let dir = scratch("fault-passthrough-fs-concurrent");
-    concurrent_conformance(Arc::new(FaultBackend::new(
-        Arc::new(FsBackend::open(&dir).unwrap()),
-        Arc::new(FaultPlan::new()),
-    )));
-    std::fs::remove_dir_all(dir).unwrap();
-}
-
-#[test]
-fn fault_backend_passthrough_conforms_concurrently_over_mem() {
-    concurrent_conformance(Arc::new(FaultBackend::new(
-        Arc::new(MemBackend::new()),
-        Arc::new(FaultPlan::new()),
-    )));
-}
-
-/// A planned fsync failure on `FsBackend` (plan installed through
-/// [`FsOptions::fault`], decorator sharing the same plan): the poisoned
-/// append surfaces a typed injected error, the unsynced record is rolled
-/// back so the journal holds exactly the acknowledged prefix, and the
-/// backend keeps working once the one-shot fault has fired.
-#[test]
-fn injected_fsync_failure_rolls_back_the_append_over_fs() {
-    let dir = scratch("fault-fsync-fs");
-    let plan = Arc::new(FaultPlan::new().fail_nth(FaultOp::Fsync, 1));
-    let inner = FsBackend::with_options(
+    let backend = FsBackend::with_options(
         &dir,
         FsOptions {
             fault: Some(plan.clone()),
@@ -356,7 +322,56 @@ fn injected_fsync_failure_rolls_back_the_append_over_fs() {
         },
     )
     .unwrap();
-    let backend = FaultBackend::new(Arc::new(inner), plan.clone());
+    conformance_suite(&backend);
+    assert_eq!(plan.injected_faults(), 0);
+    assert!(plan.ops(FaultOp::Append) > 0, "appends must be counted");
+    assert!(plan.ops(FaultOp::Fsync) > 0, "fsync rounds must be counted");
+    assert!(plan.ops(FaultOp::Load) > 0, "loads must be counted");
+    assert!(
+        plan.ops(FaultOp::Checkpoint) > 0,
+        "checkpoints must be counted"
+    );
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// Concurrent appends through an `FsBackend` with an empty plan: the
+/// plan's lock-free counters see every append and fsync round, and the
+/// suite's serialization guarantees are unchanged.
+#[test]
+fn fs_backend_conforms_concurrently_with_an_empty_fault_plan() {
+    let dir = scratch("empty-plan-fs-concurrent");
+    let plan = Arc::new(FaultPlan::new());
+    let backend = FsBackend::with_options(
+        &dir,
+        FsOptions {
+            fault: Some(plan.clone()),
+            ..FsOptions::default()
+        },
+    )
+    .unwrap();
+    concurrent_conformance(Arc::new(backend.clone()));
+    assert_eq!(plan.injected_faults(), 0);
+    assert_eq!(plan.ops(FaultOp::Fsync), backend.durability_stats().fsyncs);
+    assert!(plan.ops(FaultOp::Append) >= plan.ops(FaultOp::Fsync));
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A planned fsync failure on `FsBackend` (plan installed through
+/// [`FsOptions::fault`]): the failed append surfaces a typed injected error, the unsynced record is rolled
+/// back so the journal holds exactly the acknowledged prefix, and the
+/// backend keeps working once the one-shot fault has fired.
+#[test]
+fn injected_fsync_failure_rolls_back_the_append_over_fs() {
+    let dir = scratch("fault-fsync-fs");
+    let plan = Arc::new(FaultPlan::new().fail_nth(FaultOp::Fsync, 1));
+    let backend = FsBackend::with_options(
+        &dir,
+        FsOptions {
+            fault: Some(plan.clone()),
+            ..FsOptions::default()
+        },
+    )
+    .unwrap();
 
     // `save_document` syncs outside the fsync-round path, so the first
     // append is fsync #1 — the planned failure.
@@ -387,35 +402,4 @@ fn injected_fsync_failure_rolls_back_the_append_over_fs() {
         1
     );
     std::fs::remove_dir_all(dir).unwrap();
-}
-
-/// The same planned fsync failure over `MemBackend`: with no filesystem
-/// below, the decorator fires the fault at the append boundary — before
-/// the inner backend is touched — so the journal again holds exactly the
-/// acknowledged prefix.
-#[test]
-fn injected_fsync_failure_rolls_back_the_append_over_mem() {
-    let plan = Arc::new(FaultPlan::new().fail_nth(FaultOp::Fsync, 1));
-    let backend = FaultBackend::new(Arc::new(MemBackend::new()), plan.clone());
-
-    backend.save_document("people", &sample_fuzzy()).unwrap();
-    let error = backend
-        .append_batch("people", &[tagged_update("lost")])
-        .unwrap_err();
-    assert!(is_injected(&error), "unexpected error: {error}");
-    assert_eq!(backend.journal_batches("people").unwrap(), 0);
-
-    backend
-        .append_batch("people", &[tagged_update("kept")])
-        .unwrap();
-    assert_eq!(backend.journal_batches("people").unwrap(), 1);
-    assert_eq!(
-        backend
-            .recover_document("people")
-            .unwrap()
-            .tree()
-            .find_elements("email")
-            .len(),
-        1
-    );
 }

@@ -1,8 +1,7 @@
 //! The segment-level crash battery: every kill-point of the append-only
 //! journal and its compaction protocol, simulated by leaving the exact disk
 //! state the killed process would have left, then recovering through a fresh
-//! [`FsBackend`]. Also covers the auto-migration of legacy monolithic
-//! journals and the open-time debris sweep.
+//! [`FsBackend`]. Also covers the open-time debris sweep.
 
 use std::fs;
 use std::path::PathBuf;
@@ -10,10 +9,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use pxml_core::{FuzzyTree, UpdateTransaction};
 use pxml_query::Pattern;
-use pxml_store::{serialize_batch, serialize_batched_journal, FsBackend};
+use pxml_store::{serialize_batch, FsBackend, FsOptions, StorageBackend};
 use pxml_tree::parse_data_tree;
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// A 1-byte roll threshold: every append ends with a just-rolled segment.
+fn tiny_segments() -> FsOptions {
+    FsOptions {
+        segment_roll_bytes: 1,
+        ..FsOptions::default()
+    }
+}
 
 fn scratch(label: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -128,7 +135,7 @@ fn kill_between_segments_replays_the_prefix() {
     let dir = scratch("between-segments");
     {
         // 1-byte roll threshold: every record gets its own segment.
-        let store = FsBackend::with_segment_roll_bytes(&dir, 1).unwrap();
+        let store = FsBackend::with_options(&dir, tiny_segments()).unwrap();
         store.save_document("doc", &sample_fuzzy()).unwrap();
         for tag in ["s0", "s1", "s2"] {
             store.append_batch("doc", &[tagged_update(tag)]).unwrap();
@@ -137,7 +144,7 @@ fn kill_between_segments_replays_the_prefix() {
         let torn = encode_record(&[tagged_update("s3")]);
         fs::write(dir.join("doc.journal.0.3.seg"), &torn[..torn.len() / 2]).unwrap();
     }
-    let reopened = FsBackend::with_segment_roll_bytes(&dir, 1).unwrap();
+    let reopened = FsBackend::with_options(&dir, tiny_segments()).unwrap();
     assert_eq!(recovered_tags(&reopened, "doc"), vec!["s0", "s1", "s2"]);
     assert_eq!(reopened.journal_batches("doc").unwrap(), 3);
     // The journal keeps rolling from where the sound prefix ended.
@@ -204,6 +211,31 @@ fn orphaned_segments_without_a_checkpoint_are_swept_at_open() {
     fs::remove_dir_all(dir).unwrap();
 }
 
+/// The segment journal is the only layout the store reads: a pre-segment
+/// `<name>.journal` file is neither parsed, migrated nor swept at open —
+/// with or without a checkpoint beside it — and recovery replays the
+/// segments alone.
+#[test]
+fn pre_segment_journal_files_are_left_unread_at_open() {
+    let dir = scratch("pre-segment");
+    {
+        let store = FsBackend::open(&dir).unwrap();
+        store.save_document("doc", &sample_fuzzy()).unwrap();
+        store.append_batch("doc", &[tagged_update("seg")]).unwrap();
+    }
+    let flat = "<pxml:journal><pxml:update confidence=\"0.8\" query=\"person { name }\">\
+                <pxml:delete target=\"1\"/></pxml:update></pxml:journal>";
+    fs::write(dir.join("doc.journal"), flat).unwrap();
+    fs::write(dir.join("gone.journal"), flat).unwrap();
+    let reopened = FsBackend::open(&dir).unwrap();
+    assert!(dir.join("doc.journal").exists());
+    assert!(dir.join("gone.journal").exists());
+    assert_eq!(reopened.list_documents().unwrap(), vec!["doc"]);
+    assert_eq!(reopened.journal_batches("doc").unwrap(), 1);
+    assert_eq!(recovered_tags(&reopened, "doc"), vec!["seg"]);
+    fs::remove_dir_all(dir).unwrap();
+}
+
 /// A half-written compaction output (the `.tmp` the checkpoint writer was
 /// killed over before its rename) is swept at open and the previous
 /// checkpoint + journal remain authoritative.
@@ -224,99 +256,6 @@ fn half_written_compaction_output_is_swept_at_open() {
     fs::remove_dir_all(dir).unwrap();
 }
 
-/// A legacy monolithic `<name>.journal` is auto-migrated at open: the same
-/// batches, in the same order, now in segment form — and the round trip
-/// through a full recovery matches what the legacy layout would have
-/// replayed.
-#[test]
-fn legacy_monolithic_journal_migrates_on_open() {
-    let dir = scratch("legacy-migration");
-    fs::create_dir_all(&dir).unwrap();
-    // Fabricate a pre-segment store state by hand: checkpoint + monolithic
-    // batched journal.
-    let fuzzy = sample_fuzzy();
-    {
-        let store = FsBackend::open(&dir).unwrap();
-        store.save_document("doc", &fuzzy).unwrap();
-    }
-    let batches = vec![
-        vec![tagged_update("m1a"), tagged_update("m1b")],
-        vec![tagged_update("m2")],
-    ];
-    fs::write(dir.join("doc.journal"), serialize_batched_journal(&batches)).unwrap();
-
-    // Reference: what the legacy layout replays.
-    let mut reference = fuzzy.clone();
-    for update in batches.iter().flatten() {
-        update.apply_to_fuzzy(&mut reference).unwrap();
-    }
-
-    let migrated = FsBackend::open(&dir).unwrap();
-    assert!(!dir.join("doc.journal").exists(), "legacy journal removed");
-    assert!(dir.join("doc.journal.0.0.seg").exists(), "segment written");
-    assert_eq!(migrated.journal_batches("doc").unwrap(), 2);
-    assert_eq!(migrated.journal_length("doc").unwrap(), 3);
-    let recovered = migrated.recover_document("doc").unwrap();
-    assert!(recovered.semantically_equivalent(&reference, 1e-9).unwrap());
-    assert_eq!(recovered_tags(&migrated, "doc"), vec!["m1a", "m1b", "m2"]);
-
-    // Appends continue into the migrated segment and everything replays.
-    migrated
-        .append_batch("doc", &[tagged_update("post")])
-        .unwrap();
-    let reopened = FsBackend::open(&dir).unwrap();
-    assert_eq!(
-        recovered_tags(&reopened, "doc"),
-        vec!["m1a", "m1b", "m2", "post"]
-    );
-    fs::remove_dir_all(dir).unwrap();
-}
-
-/// A migration killed after its rename commit point but before the legacy
-/// file's removal leaves both forms on disk; the next open must keep the
-/// segment (already authoritative) and drop the leftover source instead of
-/// double-migrating.
-#[test]
-fn migration_crash_after_rename_does_not_double_migrate() {
-    let dir = scratch("legacy-double");
-    fs::create_dir_all(&dir).unwrap();
-    {
-        let store = FsBackend::open(&dir).unwrap();
-        store.save_document("doc", &sample_fuzzy()).unwrap();
-    }
-    let batches = vec![vec![tagged_update("once")]];
-    let legacy = serialize_batched_journal(&batches);
-    fs::write(dir.join("doc.journal"), &legacy).unwrap();
-    // First open migrates…
-    let _ = FsBackend::open(&dir).unwrap();
-    // …then the "crash": the legacy file reappears next to the segment,
-    // exactly as if the process had died before removing it.
-    fs::write(dir.join("doc.journal"), &legacy).unwrap();
-
-    let reopened = FsBackend::open(&dir).unwrap();
-    assert!(!dir.join("doc.journal").exists());
-    assert_eq!(reopened.journal_batches("doc").unwrap(), 1, "no duplicate");
-    assert_eq!(recovered_tags(&reopened, "doc"), vec!["once"]);
-    fs::remove_dir_all(dir).unwrap();
-}
-
-/// An orphaned legacy journal (its document was removed under the old
-/// layout) is swept, not migrated.
-#[test]
-fn orphaned_legacy_journal_is_swept_at_open() {
-    let dir = scratch("legacy-orphan");
-    fs::create_dir_all(&dir).unwrap();
-    fs::write(
-        dir.join("gone.journal"),
-        serialize_batched_journal(&[vec![tagged_update("x")]]),
-    )
-    .unwrap();
-    let store = FsBackend::open(&dir).unwrap();
-    assert!(!dir.join("gone.journal").exists());
-    assert!(store.list_documents().unwrap().is_empty());
-    fs::remove_dir_all(dir).unwrap();
-}
-
 /// The roll kill-point: the process died immediately after an append whose
 /// record opened a *fresh* segment file. The append's fsync round syncs the
 /// store directory whenever the record rolled into a new segment, so the
@@ -328,7 +267,7 @@ fn crash_right_after_a_roll_keeps_the_new_segment() {
     {
         // 1-byte roll threshold: every append ends with a just-rolled
         // segment, the worst case for directory durability.
-        let store = FsBackend::with_segment_roll_bytes(&dir, 1).unwrap();
+        let store = FsBackend::with_options(&dir, tiny_segments()).unwrap();
         store.save_document("doc", &sample_fuzzy()).unwrap();
         for tag in ["r0", "r1", "r2"] {
             store.append_batch("doc", &[tagged_update(tag)]).unwrap();
@@ -341,7 +280,7 @@ fn crash_right_after_a_roll_keeps_the_new_segment() {
             "segment {seq} must still have its directory entry"
         );
     }
-    let reopened = FsBackend::with_segment_roll_bytes(&dir, 1).unwrap();
+    let reopened = FsBackend::with_options(&dir, tiny_segments()).unwrap();
     assert_eq!(recovered_tags(&reopened, "doc"), vec!["r0", "r1", "r2"]);
     assert_eq!(reopened.journal_batches("doc").unwrap(), 3);
     fs::remove_dir_all(dir).unwrap();

@@ -644,8 +644,9 @@ impl Warehouse {
     /// as the document's new snapshot by an O(1) pointer swap — an error
     /// *before* the commit point leaves the published snapshot and the
     /// journal exactly as they were. Configured maintenance (checkpoint
-    /// folding) runs after the commit; a maintenance error is reported, but
-    /// the commit itself is already durable and recoverable at that point.
+    /// folding) runs after the commit; a maintenance failure does not fail
+    /// the commit, which is already durable and published by then — the
+    /// journal stays due and the next commit retries the fold.
     ///
     /// Locking: the document's commit mutex is held start to finish, so
     /// writers to the same document serialize (no lost updates); the state
@@ -706,19 +707,29 @@ impl Warehouse {
         self.stats
             .simplifications
             .fetch_add(batch_stats.simplify_runs(), Ordering::Relaxed);
-        // Compaction rides the commit pipeline: the journal meters are O(1)
-        // backend metadata, so an undue policy costs two counter reads. The
-        // commit mutex is still held, so the save + truncate cannot
-        // interleave with another commit's journal append.
+        // Compaction rides the commit pipeline. The batch is journaled and
+        // published, so a failed fold must not report the commit as failed:
+        // a caller retrying it would apply the batch twice.
+        if let Ok(true) = self.compact_if_due(name, published.fuzzy()) {
+            self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(batch_stats)
+    }
+
+    /// Folds a document's journal into a checkpoint of `fuzzy` when the
+    /// compaction policy says it is due; returns whether it folded. The
+    /// journal meters are O(1) backend metadata, so an undue policy costs
+    /// two counter reads. Caller must hold the slot's commit mutex, so the
+    /// save + truncate cannot interleave with another commit's append.
+    fn compact_if_due(&self, name: &str, fuzzy: &FuzzyTree) -> Result<bool, StoreError> {
         let due = self.config.compaction.is_due(
             self.store.journal_batches(name)?,
             self.store.journal_size_bytes(name)?,
         );
         if due {
-            self.store.checkpoint(name, published.fuzzy())?;
-            self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
+            self.store.checkpoint(name, fuzzy)?;
         }
-        Ok(batch_stats)
+        Ok(due)
     }
 
     /// Publishes `working` as the document's next snapshot (reclaiming dead
@@ -1890,6 +1901,103 @@ mod tests {
         drop(warehouse);
         let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
         assert_eq!(reopened.query("people", &phones).unwrap().len(), 1);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A warehouse over an `FsBackend` whose plan fails the first
+    /// checkpoint fold, compacting after every batch.
+    fn checkpoint_faulted(dir: &std::path::Path) -> Warehouse {
+        let plan = std::sync::Arc::new(
+            pxml_store::FaultPlan::new().fail_nth(pxml_store::FaultOp::Checkpoint, 1),
+        );
+        let backend = FsBackend::with_options(
+            dir,
+            FsOptions {
+                fault: Some(plan),
+                ..FsOptions::default()
+            },
+        )
+        .unwrap();
+        let config = SessionConfig {
+            compaction: CompactionPolicy::EveryNBatches(1),
+            ..plain_config()
+        };
+        Warehouse::with_backend(std::sync::Arc::new(backend), config).unwrap()
+    }
+
+    /// A fold that fails *after* the commit point does not fail the commit:
+    /// the batch is journaled and published exactly once, so the caller
+    /// must see `Ok` (an `Err` invites a retry that applies it twice). The
+    /// journal stays due and the next commit folds it.
+    #[test]
+    fn checkpoint_fault_after_commit_still_acknowledges_the_commit() {
+        let dir = scratch("checkpoint-fault-commit");
+        let warehouse = checkpoint_faulted(&dir);
+        warehouse.create_document("people", directory()).unwrap();
+        let before = warehouse.snapshot("people").unwrap().seq();
+
+        commit_one(&warehouse, "people", &add_phone("alice", 0.8)).unwrap();
+        assert_eq!(warehouse.snapshot("people").unwrap().seq(), before + 1);
+        assert!(!warehouse.is_quarantined("people"));
+        assert_eq!(warehouse.stats().checkpoints, 0, "the fold failed");
+        let phones = Pattern::parse("person { phone }").unwrap();
+        // Fresh handles read the on-disk truth, not the engine's meters.
+        let fresh = || FsBackend::open(&dir).unwrap();
+        assert_eq!(fresh().journal_batches("people").unwrap(), 1);
+        let recovered = fresh().recover_document("people").unwrap();
+        assert_eq!(recovered.query(&phones).len(), 1, "applied exactly once");
+
+        // The next commit retries the fold: the journal is folded away and
+        // recovery equals the published state.
+        commit_one(&warehouse, "people", &add_phone("bob", 0.6)).unwrap();
+        assert_eq!(warehouse.stats().checkpoints, 1);
+        assert_eq!(fresh().journal_batches("people").unwrap(), 0);
+        let recovered = fresh().recover_document("people").unwrap();
+        assert_eq!(recovered.query(&phones).len(), 2);
+        assert!(recovered
+            .semantically_equivalent(&warehouse.document("people").unwrap(), 1e-9)
+            .unwrap());
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// `simplify` persists its result as a checkpoint before publishing it:
+    /// a checkpoint fault errors the call and leaves readers on the
+    /// unsimplified snapshot, with no sequence bump.
+    #[test]
+    fn simplify_under_a_checkpoint_fault_errors_and_does_not_publish() {
+        let dir = scratch("checkpoint-fault-simplify");
+        let plan = std::sync::Arc::new(
+            pxml_store::FaultPlan::new().fail_nth(pxml_store::FaultOp::Checkpoint, 1),
+        );
+        let backend = FsBackend::with_options(
+            &dir,
+            FsOptions {
+                fault: Some(plan.clone()),
+                ..FsOptions::default()
+            },
+        )
+        .unwrap();
+        let warehouse =
+            Warehouse::with_backend(std::sync::Arc::new(backend), plain_config()).unwrap();
+        warehouse.create_document("people", directory()).unwrap();
+        commit_one(&warehouse, "people", &add_phone("alice", 0.8)).unwrap();
+        let pinned = warehouse.snapshot("people").unwrap();
+
+        let err = warehouse.simplify("people").unwrap_err();
+        assert!(
+            matches!(&err, WarehouseError::Store(store) if pxml_store::is_injected(store)),
+            "got {err}"
+        );
+        assert_eq!(plan.injected_faults(), 1);
+        let after = warehouse.snapshot("people").unwrap();
+        assert_eq!(after.seq(), pinned.seq(), "nothing was published");
+        assert_eq!(warehouse.stats().checkpoints, 0);
+        // The journal still holds the commit the failed fold never took.
+        assert_eq!(warehouse.journal_length("people").unwrap(), 1);
+        // The fault was one-shot: the next simplify folds and publishes.
+        warehouse.simplify("people").unwrap();
+        assert!(warehouse.snapshot("people").unwrap().seq() > pinned.seq());
+        assert_eq!(warehouse.journal_length("people").unwrap(), 0);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
